@@ -46,4 +46,23 @@ echo "== sharded chaos soak smoke (2 groups x 2 nodes, all runtimes) =="
 cargo run --release -q -p epidb-bench --bin chaos_soak -- \
   --smoke --seed 42 --sharded
 
+echo "== benchmark output checks (epibench prefix runs, reactor/twin parity) =="
+for w in gossip_small durable_large cold_start; do
+  if ! last=$(cargo run --release --quiet --manifest-path epibench/Cargo.toml -- \
+      --workload "$w" --seed 1 --seconds 0 --trace 1 | tail -n 1); then
+    echo "epibench $w: run failed its output checks"
+    exit 1
+  fi
+  grep -q '"correct": true' <<<"$last" || { echo "epibench $w: not correct: $last"; exit 1; }
+done
+# The checks must bite: a run that drops an acknowledged write exits 1.
+status=0
+cargo run --release --quiet --manifest-path epibench/Cargo.toml -- \
+  --workload gossip_small --seed 1 --seconds 0 --trace 0 --fault drop-acked-write \
+  >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "epibench: the drop-acked-write fault was not caught (exit $status, want 1)"
+  exit 1
+fi
+
 echo "CI green."

@@ -39,10 +39,16 @@
 //!   1000-item replica that is 5 items behind a log-compacted source must
 //!   ship ≥ 10× less payload than the whole-database pull, with total
 //!   traffic bounded by O(diff · log N) — the cold-start degradation rung
-//!   must beat the O(database) bottom rung it shields.
+//!   must beat the O(database) bottom rung it shields. At N = 1000 and
+//!   N = 100 000, the descent's exact `items_scanned` (one per digest
+//!   served or compared, both ends) must stay within
+//!   `4 · diff · ⌈log₂N⌉ + 4`, and a catch-up on warm digest trees must
+//!   hash at most `2 · diff · ⌈log₂N⌉` tree nodes on each end.
 //! * `--baseline PATH` — a previous report to embed and compute speedups
-//!   against (default `BENCH_PR8.json` if present).
-//! * `--out PATH` — where to write the report (default `BENCH_PR10.json`).
+//!   against (none unless given).
+//! * `--out PATH` — where to write the report (default
+//!   `target/perf_report.json`, so a bare run never rewrites a tracked
+//!   `BENCH_PR<k>.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -503,11 +509,23 @@ fn build_cold_pair(n_items: usize, diff: usize, val: usize) -> (Replica, Replica
     (src, dst)
 }
 
+/// Build both ends' digest trees, as a first recon does: the source
+/// serves one throwaway descent (to a clone of the recipient) and the
+/// recipient serves one probe. Clones of `dst` then start warm, so the
+/// cold-start scenario times steady-state catch-up.
+fn warm_digest_trees(src: &mut Replica, dst: &mut Replica) {
+    let n = dst.n_items() as u32;
+    dst.serve_recon(&[(0, n)], &[]).expect("warming probe");
+    pull(&mut dst.clone(), src).expect("warming recon");
+}
+
 /// Cold-start sync of a slightly-behind replica: the source's compacted
 /// log cannot cover the gap, so a plain pull degrades to the digest-tree
 /// reconciliation and ships only the differing items.
 fn scenario_cold_start_behind(name: &'static str, s: &Sizes) -> Measure {
-    let (mut src, dst0) = build_cold_pair(s.cold_items, s.cold_diff, s.cold_val);
+    let (mut src, mut dst0) = build_cold_pair(s.cold_items, s.cold_diff, s.cold_val);
+    // Time steady-state catch-up, not the one-off O(N) tree builds.
+    warm_digest_trees(&mut src, &mut dst0);
     let payload = (s.cold_diff * s.cold_val) as u64;
     bench(
         name,
@@ -584,10 +602,70 @@ fn assert_cold_start_reconciliation() {
         let x = ItemId::from_index((k * 97) % N);
         assert_eq!(dst.read(x).unwrap(), src.read(x).unwrap(), "diff item {x:?} reconciled");
     }
+    let scan_1k = assert_recon_scan_bound(1_000);
+    let scan_100k = assert_recon_scan_bound(100_000);
     eprintln!(
         "perf_report: cold-start assertions hold ({total} recon bytes, {payload} payload, \
-         vs {whole_payload} whole-pull payload; envelope {bound})."
+         vs {whole_payload} whole-pull payload; envelope {bound}; items_scanned {} at \
+         N=1000, {} at N=100000; warm digest hashes per end {} at N=1000, {} at N=100000).",
+        scan_1k.0, scan_100k.0, scan_1k.1, scan_100k.1
     );
+}
+
+/// The exact-counter half of the cold-start gate, over `n` items.
+///
+/// A recon catch-up of a 5-item diff charges at most
+/// `4 · diff · ⌈log₂N⌉ + 4` `items_scanned` over both ends — one per
+/// digest served or compared, two of each per probed range, at most
+/// `⌈log₂N⌉` probed ranges per differing leaf. The count is the same for
+/// cold and warm trees, so the first catch-up checks it.
+///
+/// A second catch-up, on the trees the first one built, must hash at most
+/// `2 · diff · ⌈log₂N⌉` digest-tree nodes on each end: the flush of the
+/// leaves written since, and nothing per probe. This is what catches a
+/// probe that folds from scratch or a flush that rebuilds.
+///
+/// Returns the first catch-up's `items_scanned` and the second's larger
+/// per-end hash count.
+fn assert_recon_scan_bound(n: usize) -> (u64, u64) {
+    const DIFF: usize = 5;
+    let log2n = (usize::BITS - (n - 1).leading_zeros()) as u64;
+    let (mut src, mut dst) = build_cold_pair(n, DIFF, 16);
+    let scanned =
+        |src: &Replica, dst: &Replica| src.costs().items_scanned + dst.costs().items_scanned;
+    let hashes = |r: &Replica| r.store().digest_hashes().expect("a recon probe builds the tree");
+
+    let before = scanned(&src, &dst);
+    let out = pull(&mut dst, &mut src).expect("cold-start pull");
+    assert!(matches!(out, PullOutcome::Propagated(_)), "the cold-start pull must reconcile");
+    let cold = scanned(&src, &dst) - before;
+    let bound = 4 * DIFF as u64 * log2n + 4;
+    assert!(
+        cold <= bound,
+        "cold-start regression: reconciling a {DIFF}-item diff over {n} items charged \
+         {cold} items_scanned, over the O(diff * log N) bound of {bound}"
+    );
+
+    for k in 0..DIFF {
+        let x = ItemId::from_index((k * 89 + 1) % n);
+        src.update(x, UpdateOp::set(vec![0x5A; 16])).expect("second-round update");
+    }
+    let (before, src_before, dst_before) = (scanned(&src, &dst), hashes(&src), hashes(&dst));
+    let out = pull(&mut dst, &mut src).expect("warm cold-start pull");
+    assert!(matches!(out, PullOutcome::Propagated(_)), "the warm pull must reconcile");
+    let warm = scanned(&src, &dst) - before;
+    assert!(warm > 0 && warm <= bound, "warm recon catch-up charged {warm} items_scanned");
+    let hash_bound = 2 * DIFF as u64 * log2n;
+    let per_end = [("source", hashes(&src) - src_before), ("recipient", hashes(&dst) - dst_before)];
+    for (end, hashed) in per_end {
+        assert!(
+            hashed <= hash_bound,
+            "cold-start regression: a warm {DIFF}-item recon catch-up over {n} items hashed \
+             {hashed} digest-tree nodes on the {end}, over the 2 * diff * log N bound of \
+             {hash_bound}"
+        );
+    }
+    (cold, per_end[0].1.max(per_end[1].1))
 }
 
 /// One sweep of the C10K rig: every pre-opened connection completes one
@@ -830,8 +908,7 @@ fn main() {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::from)
     };
     let smoke = has("--smoke");
-    let out_path = opt("--out").unwrap_or_else(|| "BENCH_PR10.json".into());
-    let baseline_path = opt("--baseline").unwrap_or_else(|| "BENCH_PR8.json".into());
+    let out_path = opt("--out").unwrap_or_else(|| "target/perf_report.json".into());
 
     let sizes = if smoke { Sizes::smoke() } else { Sizes::full() };
     eprintln!("perf_report: running {} scenarios...", if smoke { "smoke" } else { "full" });
@@ -922,7 +999,10 @@ fn main() {
         assert_cold_start_reconciliation();
     }
 
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
+    let baseline = opt("--baseline").map(|path| {
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read baseline report {path}: {e}"))
+    });
     let mut report = String::new();
     report.push_str("{\n");
     report.push_str("  \"schema\": \"epidb-perf-report/v1\",\n");
@@ -953,6 +1033,9 @@ fn main() {
     }
     report.push_str("}\n");
 
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create report directory");
+    }
     std::fs::write(&out_path, &report).expect("write report");
 
     // Self-validate the emitted schema (the CI smoke run relies on this).

@@ -15,15 +15,19 @@
 //! * [`ConflictEvent`] — the "declare inconsistent replicas" events of the
 //!   protocol (§5, correctness criterion 1 of §2.1).
 //! * [`Error`] — the shared error type.
+//! * [`FnvHasher`] — the stable FNV-1a hash behind state fingerprints and
+//!   reconciliation digests.
 
 pub mod conflict;
 pub mod costs;
 pub mod error;
+pub mod fnv;
 pub mod ids;
 pub mod trace;
 
 pub use conflict::{ConflictEvent, ConflictSite};
 pub use costs::Costs;
 pub use error::{Error, InvariantViolation, Result, RouteTarget};
+pub use fnv::FnvHasher;
 pub use ids::{ItemId, NodeId, ShardId};
 pub use trace::{OrdTag, TraceEvent, TraceRing, TraceStep};

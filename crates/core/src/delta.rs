@@ -304,12 +304,8 @@ impl Replica {
             } else {
                 self.costs.items_scanned += 1;
                 // Whole-value fallback ships a refcounted view, not a copy.
-                let it = self.store.get_mut(*x)?;
-                payload.items.push(DeltaItem::Whole(ShippedItem {
-                    item: *x,
-                    ivv: it.ivv.clone(),
-                    value: it.value.share(),
-                }));
+                let (ivv, value) = self.store.share(*x)?;
+                payload.items.push(DeltaItem::Whole(ShippedItem { item: *x, ivv, value }));
             }
             let added = payload.items.last().expect("just pushed");
             frame_bytes += added.control_bytes() + added.payload_bytes();

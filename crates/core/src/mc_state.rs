@@ -37,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
+pub use epidb_common::FnvHasher;
 use epidb_common::{ConflictEvent, Costs, NodeId, Result, ShardId};
 
 use crate::codec::{put_op, put_vv, Writer};
@@ -44,55 +45,6 @@ use crate::opcache::OpCache;
 use crate::policy::ConflictPolicy;
 use crate::replica::{ProtocolCounters, Replica};
 use crate::shard::{ShardMap, ShardedNode};
-
-/// A streaming FNV-1a 64-bit hasher.
-///
-/// Chosen for state fingerprinting because it is dependency-free, fast on
-/// the short buffers involved, and — unlike `std::hash::DefaultHasher` —
-/// has a *stable, specified* algorithm, so fingerprints are comparable
-/// across runs, builds, and toolchains (counterexample schedules stay
-/// replayable byte-for-byte).
-#[derive(Clone, Debug)]
-pub struct FnvHasher(u64);
-
-impl FnvHasher {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> FnvHasher {
-        FnvHasher(Self::OFFSET_BASIS)
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Absorb one `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher::new()
-    }
-}
 
 /// A full in-memory capture of one [`Replica`], including the ephemeral
 /// state the durable snapshot deliberately drops. See the module docs for

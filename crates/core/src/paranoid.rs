@@ -6,7 +6,7 @@
 //! re-derives the invariant from first principles against a replica's live
 //! state. Two consumers share them:
 //!
-//! * **paranoid mode** ([`Replica::set_paranoid`]) runs all six after
+//! * **paranoid mode** ([`Replica::set_paranoid`]) runs all seven after
 //!   every protocol step via [`ReplicaAuditor::audit`] and panics with the
 //!   collected report plus the structured protocol trace
 //!   ([`epidb_common::TraceRing`]), whose last event names the offending
@@ -63,6 +63,8 @@ pub enum AuditCheck {
     AuxStructure,
     /// Auxiliary copies never older than regular copies (conflict-free).
     AuxDominance,
+    /// The maintained digest tree agrees with a from-scratch fold.
+    DigestTree,
 }
 
 impl AuditCheck {
@@ -75,17 +77,19 @@ impl AuditCheck {
             AuditCheck::SelectionFlags => "selection-flags",
             AuditCheck::AuxStructure => "aux-structure",
             AuditCheck::AuxDominance => "aux-dominance",
+            AuditCheck::DigestTree => "digest-tree",
         }
     }
 
     /// All checks, in the order the auditor runs them.
-    pub const ALL: [AuditCheck; 6] = [
+    pub const ALL: [AuditCheck; 7] = [
         AuditCheck::DbvvSum,
         AuditCheck::LogStructure,
         AuditCheck::MMonotonicity,
         AuditCheck::SelectionFlags,
         AuditCheck::AuxStructure,
         AuditCheck::AuxDominance,
+        AuditCheck::DigestTree,
     ];
 
     /// Run this one check against `replica`, returning the first violation
@@ -98,6 +102,7 @@ impl AuditCheck {
             AuditCheck::SelectionFlags => check_selection_flags(replica),
             AuditCheck::AuxStructure => check_aux_structure(replica),
             AuditCheck::AuxDominance => check_aux_dominance(replica),
+            AuditCheck::DigestTree => check_digest_tree(replica),
         }
     }
 }
@@ -221,6 +226,14 @@ pub fn check_aux_dominance(replica: &Replica) -> Result<(), InvariantViolation> 
     Ok(())
 }
 
+/// Invariant 7: the maintained reconciliation digest tree, once built,
+/// agrees with the from-scratch fold on every node it claims current, and
+/// its dirty list and bitset agree. Vacuously true before the first recon
+/// probe builds the tree.
+pub fn check_digest_tree(replica: &Replica) -> Result<(), InvariantViolation> {
+    replica.store.check_digest_tree().map_err(|e| violation(replica, AuditCheck::DigestTree, e))
+}
+
 /// One invariant violation found by an audit.
 #[derive(Clone, Debug)]
 pub struct AuditViolation {
@@ -328,6 +341,21 @@ mod tests {
     }
 
     #[test]
+    fn digest_tree_check_covers_a_built_tree() {
+        let mut r = Replica::new(NodeId(0), 2, 16);
+        r.update(ItemId(1), UpdateOp::set(&b"v"[..])).unwrap();
+        assert_eq!(r.store.dirty_digest_leaves(), None, "no probe, no tree");
+        check_digest_tree(&r).unwrap();
+        r.range_digest(0, 16);
+        r.update(ItemId(9), UpdateOp::set(&b"w"[..])).unwrap();
+        assert_eq!(r.store.dirty_digest_leaves(), Some(1));
+        check_digest_tree(&r).unwrap();
+        r.range_digest(8, 16);
+        assert_eq!(r.store.dirty_digest_leaves(), Some(0));
+        check_digest_tree(&r).unwrap();
+    }
+
+    #[test]
     fn check_names_are_stable() {
         let names: Vec<&str> = AuditCheck::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(
@@ -338,7 +366,8 @@ mod tests {
                 "m-monotonicity",
                 "selection-flags",
                 "aux-structure",
-                "aux-dominance"
+                "aux-dominance",
+                "digest-tree"
             ]
         );
     }

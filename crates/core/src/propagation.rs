@@ -88,8 +88,8 @@ impl Replica {
         // costs O(|S|) regardless of value sizes.
         let mut items = Vec::with_capacity(s_items.len());
         for &x in &s_items {
-            let it = self.store.get_mut(x).expect("logged item exists");
-            items.push(ShippedItem { item: x, ivv: it.ivv.clone(), value: it.value.share() });
+            let (ivv, value) = self.store.share(x).expect("logged item exists");
+            items.push(ShippedItem { item: x, ivv, value });
         }
 
         let shipped = items.len() as u64;

@@ -12,8 +12,18 @@
 //!   discipline as [`crate::mc_state`]'s fingerprints;
 //! * interior nodes fold `(start, end, left, right)`, so a subtree digest
 //!   commits to both structure and content;
-//! * the tree is never materialized — digests are computed on demand in
-//!   O(width) per probed range.
+//! * the tree is materialized beside the store
+//!   ([`epidb_store::digest`]), built in O(N) on the replica's first
+//!   probe (served or compared) and kept lazily current: every store
+//!   write only marks its leaf dirty, and the next probe re-hashes the
+//!   dirty leaves and refolds the union of their root paths, each node
+//!   once — at most O(log N) hashes per dirty leaf and never more than a
+//!   build — before reading the probed node in O(log N). Ranges that are not tree nodes fold from
+//!   scratch, so every digest equals the on-demand fold bit for bit;
+//! * the tree is derived state: not journaled, not in the snapshot or
+//!   the fingerprint, rebuilt after any restore. `items_scanned`
+//!   charges one per digest served or compared — a function of the
+//!   descent alone, identical for warm and cold trees.
 //!
 //! The recipient drives a breadth-first descent ([`ReconDriver`]): each
 //! [`ProtocolRequest::Recon`] carries ranges to probe plus leaves to
@@ -46,43 +56,15 @@ use crate::propagation::{AcceptOutcome, PullOutcome};
 use crate::replica::Replica;
 
 impl Replica {
-    /// Leaf digest of item `x`: FNV-1a over the IVV (length + entries)
-    /// and the value (length + bytes). Two replicas agree on a leaf
-    /// digest iff they agree on the item's `(IVV, value)`.
-    fn leaf_digest(&self, x: ItemId) -> u64 {
-        let it = self.store.get(x).expect("digested item exists");
-        let mut h = FnvHasher::new();
-        h.write_u64(it.ivv.len() as u64);
-        for &e in it.ivv.entries() {
-            h.write_u64(e);
-        }
-        h.write_u64(it.value.as_bytes().len() as u64);
-        h.write(it.value.as_bytes());
-        h.finish()
-    }
-
-    /// Digest of the half-open item range `[start, end)` — a leaf digest
-    /// for width 1, otherwise the FNV fold of `(start, end, left child,
-    /// right child)` with the midpoint at `start + (end - start) / 2`.
-    fn fold_range(&self, start: u32, end: u32) -> u64 {
-        debug_assert!(start < end);
-        if end - start == 1 {
-            return self.leaf_digest(ItemId(start));
-        }
-        let mid = start + (end - start) / 2;
-        let mut h = FnvHasher::new();
-        h.write_u64(start as u64);
-        h.write_u64(end as u64);
-        h.write_u64(self.fold_range(start, mid));
-        h.write_u64(self.fold_range(mid, end));
-        h.finish()
-    }
-
-    /// [`fold_range`](Self::fold_range) with cost accounting: every leaf
-    /// under the range is digested, charged as `items_scanned`.
+    /// Digest of the half-open item range `[start, end)` in the digest
+    /// tree the store maintains ([`ItemStore::range_digest`](epidb_store::ItemStore::range_digest)),
+    /// charged as one `items_scanned` per digest served or compared. The
+    /// charge depends on the descent alone, not on whether the tree was
+    /// already built or how many leaves it had to refold, so per-node
+    /// costs stay identical across runtimes and across `mc_restore`.
     pub(crate) fn range_digest(&mut self, start: u32, end: u32) -> u64 {
-        self.costs.items_scanned += (end - start) as u64;
-        self.fold_range(start, end)
+        self.costs.items_scanned += 1;
+        self.store.range_digest(start, end)
     }
 
     /// Materialize one item for shipping: value (shared, not copied),
@@ -98,8 +80,8 @@ impl Replica {
                 self.costs.log_records_examined += 1;
             }
         }
-        let it = self.store.get_mut(x).expect("checked item exists");
-        ReconItem { item: x, ivv: it.ivv.clone(), value: it.value.share(), records }
+        let (ivv, value) = self.store.share(x).expect("checked item exists");
+        ReconItem { item: x, ivv, value, records }
     }
 
     /// Serve one reconciliation descent step (the responder side of
@@ -581,12 +563,12 @@ mod tests {
     #[test]
     fn leaf_digests_agree_iff_items_agree() {
         let (mut a, mut b) = pair(4);
-        assert_eq!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_eq!(a.range_digest(0, 1), b.range_digest(0, 1));
         b.update(ItemId(0), UpdateOp::set(&b"x"[..])).unwrap();
-        assert_ne!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_ne!(a.range_digest(0, 1), b.range_digest(0, 1));
         a.update(ItemId(0), UpdateOp::set(&b"x"[..])).unwrap();
         // Same value, different IVV (different origin) — still different.
-        assert_ne!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_ne!(a.range_digest(0, 1), b.range_digest(0, 1));
     }
 
     #[test]
@@ -600,6 +582,27 @@ mod tests {
         assert_ne!(a.range_digest(4, 8), b.range_digest(4, 8));
         assert_eq!(a.range_digest(4, 5), b.range_digest(4, 5));
         assert_ne!(a.range_digest(5, 6), b.range_digest(5, 6));
+    }
+
+    #[test]
+    fn items_scanned_counts_digests_not_widths() {
+        let n = 64;
+        let (mut a, mut b) = pair(n);
+        for i in 0..n as u32 {
+            b.update(ItemId(i), UpdateOp::set(vec![i as u8; 4])).unwrap();
+        }
+        Engine::pull(&mut a, &mut LocalTransport::new(&mut b)).unwrap();
+        b.update(ItemId(37), UpdateOp::append(&b"+"[..])).unwrap();
+        let before = a.costs().items_scanned + b.costs().items_scanned;
+        Engine::pull_recon(&mut a, &mut LocalTransport::new(&mut b)).unwrap();
+        // One differing leaf under log2(64) = 6 probed ranges; each probe
+        // is two digests served plus two compared.
+        assert_eq!(a.costs().items_scanned + b.costs().items_scanned - before, 4 * 6);
+        assert_eq!(a.read(ItemId(37)).unwrap(), b.read(ItemId(37)).unwrap());
+        // The commit dirtied the adopted leaf; the next probe refolds it.
+        assert_eq!(a.store().dirty_digest_leaves(), Some(1));
+        assert_eq!(a.range_digest(0, n as u32), b.range_digest(0, n as u32));
+        assert_eq!(a.store().dirty_digest_leaves(), Some(0));
     }
 
     #[test]

@@ -344,6 +344,12 @@ impl Replica {
         &self.log
     }
 
+    /// The regular item copies and their reconciliation digest tree
+    /// (diagnostics and audits).
+    pub fn store(&self) -> &ItemStore {
+        &self.store
+    }
+
     /// Cumulative protocol costs charged at this node.
     pub fn costs(&self) -> Costs {
         self.costs

@@ -24,7 +24,7 @@ use crate::system::{Event, System};
 /// A minimized, replayable violating schedule.
 #[derive(Debug)]
 pub struct CounterExample {
-    /// The check that trips: one of the six invariant names, or a
+    /// The check that trips: one of the seven invariant names, or a
     /// consistency check name (`eventual-consistency`, `no-lost-updates`,
     /// `quiescence`, `healing`).
     pub check: &'static str,

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -262,6 +262,10 @@ struct Reactor {
     notify: Notify,
     listeners: Vec<(TcpListener, Arc<dyn FrameService>)>,
     conns: Mutex<HashMap<u64, Conn>>,
+    /// Registered connections, parked or being driven: a worker takes a
+    /// connection out of `conns` while it drives it, so the map alone
+    /// undercounts.
+    open: AtomicUsize,
     next_key: AtomicU64,
     running: Arc<AtomicBool>,
 }
@@ -281,8 +285,10 @@ impl Reactor {
                     let fd = stream.as_raw_fd();
                     let conn_key = self.next_key.fetch_add(1, Ordering::Relaxed);
                     self.conns.lock().insert(conn_key, Conn::new(stream, service.clone()));
+                    self.open.fetch_add(1, Ordering::SeqCst);
                     if self.poller.add(fd, conn_key, Interest::readable()).is_err() {
                         self.conns.lock().remove(&conn_key);
+                        self.open.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -309,11 +315,13 @@ impl Reactor {
                 if self.poller.modify(fd, key, interest).is_err() {
                     if let Some(dead) = self.conns.lock().remove(&key) {
                         let _ = self.poller.delete(dead.stream.as_raw_fd());
+                        self.open.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
             }
             Drive::Close => {
                 let _ = self.poller.delete(conn.stream.as_raw_fd());
+                self.open.fetch_sub(1, Ordering::SeqCst);
                 // Dropping the Conn closes the socket.
             }
         }
@@ -403,6 +411,7 @@ impl AsyncServer {
             notify,
             listeners,
             conns: Mutex::new(HashMap::new()),
+            open: AtomicUsize::new(0),
             next_key: AtomicU64::new(first_conn_key),
             running: running.clone(),
         });
@@ -430,7 +439,7 @@ impl AsyncServer {
 
     /// Connections currently parked or being driven.
     pub fn open_connections(&self) -> usize {
-        self.reactor.conns.lock().len()
+        self.reactor.open.load(Ordering::SeqCst)
     }
 
     /// Stop the workers and close every connection.
@@ -447,6 +456,7 @@ impl AsyncServer {
             let _ = h.join();
         }
         self.reactor.conns.lock().clear();
+        self.reactor.open.store(0, Ordering::SeqCst);
     }
 }
 
@@ -982,6 +992,45 @@ fn gossip_loop(
 mod tests {
     use super::*;
     use epidb_core::{ProtocolRequest, ShardMap, ShardTransport};
+
+    #[test]
+    fn a_connection_being_served_counts_as_open() {
+        use std::sync::mpsc;
+        /// Holds the worker inside `serve` until the test releases it.
+        struct Gate {
+            entered: Mutex<mpsc::Sender<()>>,
+            release: Mutex<mpsc::Receiver<()>>,
+        }
+        impl FrameService for Gate {
+            fn serve(&self, _body: &[u8], _out: &mut Writer) -> bool {
+                self.entered.lock().send(()).expect("the test waits for entry");
+                self.release.lock().recv().expect("the test releases the worker");
+                false
+            }
+        }
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = Gate { entered: Mutex::new(entered_tx), release: Mutex::new(release_rx) };
+        let server = AsyncServer::bind(vec![Arc::new(gate)], 1).unwrap();
+        let mut stream = TcpStream::connect(server.addrs()[0]).unwrap();
+        stream.write_all(&[4, 0, 0, 0, 1, 2, 3, 4]).unwrap();
+        entered.recv().unwrap();
+        // The worker has taken the connection out of the parked set. Read
+        // the count, then release the worker before asserting, so a
+        // failure cannot leave the server's shutdown waiting on it.
+        let open_while_served = server.open_connections();
+        release.send(()).unwrap();
+        assert_eq!(open_while_served, 1);
+        // `serve` refused the frame, so the reactor closes the connection.
+        let mut buf = [0u8; 1];
+        assert_eq!(stream.read(&mut buf).unwrap(), 0);
+        RetryPolicy::default()
+            .poll_until("closed connection", Duration::from_secs(10), || {
+                server.open_connections() == 0
+            })
+            .unwrap();
+        server.shutdown();
+    }
 
     #[test]
     fn updates_converge_over_the_async_runtime() {

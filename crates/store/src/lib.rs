@@ -17,8 +17,10 @@
 //! * [`ItemValue`] — a data item's value: an owned byte buffer.
 //! * [`StoredItem`] — value plus its item version vector (IVV).
 //! * [`ItemStore`] — the dense collection of a replica's regular item
-//!   copies.
+//!   copies, with the lazily maintained reconciliation digest tree over
+//!   them ([`digest`]).
 
+pub mod digest;
 pub mod op;
 pub mod store;
 pub mod value;

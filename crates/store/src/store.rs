@@ -1,8 +1,10 @@
 //! The dense store of a replica's regular item copies.
 
+use bytes::Bytes;
 use epidb_common::{Error, ItemId, NodeId, Result};
 use epidb_vv::VersionVector;
 
+use crate::digest::{fold_range, DigestTree};
 use crate::op::UpdateOp;
 use crate::value::ItemValue;
 
@@ -29,16 +31,27 @@ impl StoredItem {
 /// The item universe is fixed at construction, mirroring the paper's fixed
 /// server set assumption (§2); the protocol's complexity arguments never
 /// depend on item creation/deletion.
+///
+/// The store also keeps the reconciliation digest tree over its items
+/// ([`range_digest`](Self::range_digest)). It is derived state: `None`
+/// until the first digest is asked for, never persisted, and kept current
+/// lazily — every mutating method marks the written leaf dirty in O(1)
+/// and the next digest read refolds only the dirty paths.
 #[derive(Clone, Debug)]
 pub struct ItemStore {
     n_nodes: usize,
-    items: Vec<StoredItem>,
+    pub(crate) items: Vec<StoredItem>,
+    tree: Option<DigestTree>,
 }
 
 impl ItemStore {
     /// Create a store of `n_items` empty items for `n_nodes` servers.
     pub fn new(n_nodes: usize, n_items: usize) -> ItemStore {
-        ItemStore { n_nodes, items: (0..n_items).map(|_| StoredItem::new(n_nodes)).collect() }
+        ItemStore {
+            n_nodes,
+            items: (0..n_items).map(|_| StoredItem::new(n_nodes)).collect(),
+            tree: None,
+        }
     }
 
     /// Number of items in the database.
@@ -58,9 +71,73 @@ impl ItemStore {
         self.items.get(x.index()).ok_or(Error::UnknownItem(x))
     }
 
-    /// Mutable access to an item.
+    /// Mutable access to an item. Marks its digest leaf dirty, so use it
+    /// only to write; serving paths use [`share`](Self::share).
     pub fn get_mut(&mut self, x: ItemId) -> Result<&mut StoredItem> {
-        self.items.get_mut(x.index()).ok_or(Error::UnknownItem(x))
+        let item = self.items.get_mut(x.index()).ok_or(Error::UnknownItem(x))?;
+        if let Some(tree) = &mut self.tree {
+            tree.mark_dirty(x.index());
+        }
+        Ok(item)
+    }
+
+    /// The item's IVV and a refcounted handle to its value — the ship
+    /// operation. Takes `&mut self` only because
+    /// [`ItemValue::share`] promotes owned storage to shared storage in
+    /// place; the contents do not change, so the digest leaf stays clean.
+    pub fn share(&mut self, x: ItemId) -> Result<(VersionVector, Bytes)> {
+        let item = self.items.get_mut(x.index()).ok_or(Error::UnknownItem(x))?;
+        Ok((item.ivv.clone(), item.value.share()))
+    }
+
+    /// Digest of the half-open item range `[start, end)` in the digest
+    /// tree (see [`crate::digest`]). The first call builds the tree in
+    /// O(N); later calls flush the leaves written since (re-hashing each
+    /// and refolding the union of their root paths, at most O(log N)
+    /// hashes per dirty leaf and never more than a rebuild) and read a
+    /// tree node in O(log N). A range that is not a tree node is folded
+    /// from scratch in O(width).
+    ///
+    /// # Panics
+    /// Panics unless `start < end <= n_items`.
+    pub fn range_digest(&mut self, start: u32, end: u32) -> u64 {
+        assert!(start < end && end as usize <= self.items.len(), "digest range out of bounds");
+        let items = &self.items;
+        self.tree.get_or_insert_with(|| DigestTree::build(items)).digest(items, start, end)
+    }
+
+    /// Leaf hashes plus folds the digest tree has computed — its build,
+    /// every flush and every non-node range folded from scratch — or
+    /// `None` while the tree is not built. A diagnostic, not a protocol
+    /// cost: it depends on whether the tree was warm, which the
+    /// replica's `Costs` must not.
+    pub fn digest_hashes(&self) -> Option<u64> {
+        self.tree.as_ref().map(DigestTree::hashes)
+    }
+
+    /// Digest of `[start, end)` folded from scratch over the items in
+    /// O(width), bypassing the tree — the definition every cached digest
+    /// must equal (tests and audits).
+    ///
+    /// # Panics
+    /// Panics unless `start < end <= n_items`.
+    pub fn fold_range(&self, start: u32, end: u32) -> u64 {
+        assert!(start < end && end as usize <= self.items.len(), "digest range out of bounds");
+        fold_range(&self.items, start, end)
+    }
+
+    /// Leaves written since the digest tree was last flushed, or `None`
+    /// while no digest was ever asked for (the tree is not built).
+    pub fn dirty_digest_leaves(&self) -> Option<usize> {
+        self.tree.as_ref().map(DigestTree::dirty_leaves)
+    }
+
+    /// Audit the digest tree against a from-scratch fold of the items:
+    /// every node not above a dirty leaf (all of them after a flush) must
+    /// equal its fold, and the dirty bookkeeping must be consistent. Pure;
+    /// O(N) hashing. Trivially `Ok` while the tree is not built.
+    pub fn check_digest_tree(&self) -> std::result::Result<(), String> {
+        self.tree.as_ref().map_or(Ok(()), |tree| tree.verify(&self.items))
     }
 
     /// Apply a local update to item `x` on behalf of server `i`:
